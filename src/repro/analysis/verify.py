@@ -9,11 +9,14 @@ execution of the emitted orders must be a legal schedule per Definition 2.3.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.legality import is_legal_schedule
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel, single_unit_machine
+
+if TYPE_CHECKING:
+    from ..sim.window import SimResult
 
 
 class OutputError(AssertionError):
@@ -46,12 +49,15 @@ def check_runtime_legality(
     trace: Trace,
     block_orders: Sequence[Sequence[str]],
     machine: MachineModel | None = None,
-) -> None:
+) -> SimResult:
     """The windowed execution of the emitted orders must satisfy Definition
     2.3.  The emitted orders themselves are the legality witness — the
     priority list the execution was greedily driven by — so the check is
     exact even where the schedule's derived sub-permutations would not
-    reproduce it (cross-block overtakes, multi-unit issue ties)."""
+    reproduce it (cross-block overtakes, multi-unit issue ties).
+
+    Returns the checked execution, so a caller that needs the simulated
+    schedule of verified orders does not simulate them again."""
     from ..sim.window import simulate_trace
 
     machine = machine or single_unit_machine()
@@ -60,16 +66,18 @@ def check_runtime_legality(
         trace, sim.schedule, machine, witness_orders=block_orders
     ):
         raise OutputError("windowed execution is not a legal schedule")
+    return sim
 
 
 def verify_scheduler_output(
     trace: Trace,
     block_orders: Sequence[Sequence[str]],
     machine: MachineModel | None = None,
-) -> None:
-    """All checks; raises :class:`OutputError` on the first failure."""
+) -> SimResult:
+    """All checks; raises :class:`OutputError` on the first failure and
+    returns the verified execution otherwise."""
     check_block_orders(trace, block_orders)
-    check_runtime_legality(trace, block_orders, machine)
+    return check_runtime_legality(trace, block_orders, machine)
 
 
 def check_sim_result(graph, result) -> None:

@@ -30,7 +30,7 @@ import threading
 import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..analysis.verify import OutputError, verify_scheduler_output
 from ..core.lookahead import algorithm_lookahead, local_block_orders
@@ -38,6 +38,9 @@ from ..ir.basicblock import Trace
 from ..machine.model import MachineModel, single_unit_machine
 from ..obs import recorder as obs
 from . import faults
+
+if TYPE_CHECKING:
+    from ..sim.window import SimResult
 
 #: Degradation reasons a :class:`DegradedResult` may carry.
 FALLBACK_REASONS = (
@@ -102,7 +105,10 @@ class GuardedResult:
     ``"lookahead"`` for the primary path and ``"fallback"`` for the
     per-block rank order; ``degraded`` carries the diagnostic in the
     latter case.  ``predicted_makespan`` is only available on the primary
-    path (the fallback makes no cross-block prediction).
+    path (the fallback makes no cross-block prediction).  ``sim`` is the
+    windowed execution of ``block_orders`` that verification checked
+    (``None`` only for an unverified primary result); the fallback's was
+    run with fault injection suspended.
     """
 
     trace: Trace
@@ -111,6 +117,7 @@ class GuardedResult:
     degraded: DegradedResult | None = None
     predicted_makespan: int | None = None
     verify_s: float = field(default=0.0, repr=False)
+    sim: SimResult | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -236,10 +243,13 @@ class GuardedScheduler:
                 with _time_limit(budget_s):
                     orders, predicted = self._run_primary(trace)
                     verify_s = 0.0
+                    sim = None
                     if self.verify:
                         v0 = _time.perf_counter()
                         with obs.span("guard.verify", source="lookahead"):
-                            verify_scheduler_output(trace, orders, self.machine)
+                            sim = verify_scheduler_output(
+                                trace, orders, self.machine
+                            )
                         verify_s = _time.perf_counter() - v0
                 elapsed = _time.perf_counter() - started
                 if budget_s is not None and 0 < budget_s < elapsed:
@@ -279,6 +289,7 @@ class GuardedScheduler:
                 source="lookahead",
                 predicted_makespan=predicted,
                 verify_s=verify_s,
+                sim=sim,
             )
 
     # -- degraded path ------------------------------------------------------
@@ -299,7 +310,9 @@ class GuardedScheduler:
                 v0 = _time.perf_counter()
                 try:
                     with obs.span("guard.verify", source="fallback"):
-                        verify_scheduler_output(trace, orders, self.machine)
+                        sim = verify_scheduler_output(
+                            trace, orders, self.machine
+                        )
                 except OutputError as exc:
                     raise GuardError(
                         f"per-block fallback failed verification after "
@@ -312,4 +325,5 @@ class GuardedScheduler:
             source="fallback",
             degraded=degraded,
             verify_s=verify_s,
+            sim=sim,
         )

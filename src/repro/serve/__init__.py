@@ -3,9 +3,9 @@ schedule cache (``repro serve``, see ``docs/SERVING.md``).
 
 The pipeline turns one-shot library calls into a service:
 
-- :mod:`repro.serve.canonical` — isomorphism-safe canonical forms; the
+- :mod:`repro.serve.canonical` — program-order canonical forms; the
   sha256 **canonical digest** that keys the cache, invariant under node
-  renaming so relabeled-but-identical kernels hit;
+  renaming that keeps program order, so relabeled kernels hit;
 - :mod:`repro.serve.protocol` — the JSON wire format (requests, responses,
   trace/machine codecs, :class:`ProtocolError`);
 - :mod:`repro.serve.cache` — :class:`ScheduleCache`, a bounded in-memory

@@ -12,9 +12,9 @@ both transports:
   fails (the request is **shed** with a structured ``overloaded`` error)
   when the queue is at capacity or the request's transport already has too
   many requests in flight.  Between "healthy" and "shedding" sits
-  **brownout**: above a configurable queue-depth fraction the daemon stops
-  widening batches and disables the debug endpoints, shedding optional
-  work before it sheds requests.
+  **brownout**: above a configurable queue-depth fraction the daemon
+  disables the debug endpoints, shedding optional work before it sheds
+  requests.
 - :class:`CircuitBreaker` / :class:`BreakerBoard` — per-scheduler-class
   failure isolation.  K consecutive compute failures (crashes, timeouts,
   guard degradations that indicate adversity rather than policy) open the
@@ -200,7 +200,7 @@ class AdmissionController:
     @property
     def brownout(self) -> bool:
         """True while queue depth is at or above the brownout threshold —
-        the daemon stops widening batches and disables debug endpoints."""
+        the daemon disables its debug endpoints."""
         with self._lock:
             return self._depth >= self._brownout_depth
 

@@ -3,9 +3,9 @@ store.
 
 Entries are keyed by the request's **canonical digest**
 (:func:`repro.serve.canonical.canonical_form`) and hold the schedule in
-*canonical ids*, so every request isomorphic to a cached one — same kernel,
-different SSA names — shares a single entry and translates the stored
-schedule through its own canonical labeling.
+*canonical ids*, so every order-preserving relabeling of a cached request —
+same kernel, different SSA names — shares a single entry and translates
+the stored schedule through its own canonical labeling.
 
 Persistence is an append-only JSONL file: one ``{"digest": ..., "entry":
 ...}`` line per insertion, flushed immediately.  Loading replays the file

@@ -1,14 +1,12 @@
-"""Isomorphism-safe canonical forms and content digests for scheduling
+"""Program-order canonical forms and content digests for scheduling
 requests.
 
-A million-user scheduling workload is a stream of highly repetitive
-kernels: the *same* loop bodies and basic-block shapes arrive over and over
-with different SSA names and shuffled program order of independent
-instructions.  To turn those repeats into cache hits, the serve cache keys
-on a **canonical form** of the request — a deterministic relabeling of
-``(block DAG, latencies, exec times, FU classes, deadlines, machine
-config, scheduler choice)`` that is invariant under node renaming — rather
-than on the raw request text.
+A scheduling workload repeats itself: the *same* loop bodies and
+basic-block shapes arrive over and over under different SSA names.  To
+turn those repeats into cache hits, the serve cache keys on a **canonical
+form** of the request — ``(block DAG, latencies, exec times, FU classes,
+deadlines, machine config, scheduler choice)`` with every node named by
+its program index — rather than on the raw request text.
 
 The digest is a sha256 over the canonical JSON.  Explicitly **not**
 Python's builtin ``hash()``: that is randomized per process by
@@ -17,29 +15,20 @@ before its fix) easy to under-specify; sha256 of a canonical serialization
 is stable across processes, sessions and machines, so the on-disk store
 survives daemon restarts.
 
-Canonicalization algorithm
---------------------------
+Why program order
+-----------------
 
-A Weisfeiler–Leman-style iterative partition refinement over the trace's
-dependence graph:
-
-1. every node starts with a structural colour ``(block index, exec time,
-   fu class, deadline)`` — names excluded by construction;
-2. colours are repeatedly refined with the sorted multisets of
-   ``(edge latency, neighbour colour)`` over successors and predecessors,
-   until the partition stops splitting (at most *n* rounds);
-3. the canonical order sorts nodes by final colour, breaking exact colour
-   ties (structurally indistinguishable nodes) by program order.
-
-Step 3's tie-break keeps the mapping *aligned with the scheduler's own
-tie-breaking*: the pipeline breaks priority ties by program index, never by
-name, so for any request that is an order-preserving relabeling of a cached
-one, translating the cached canonical schedule through the new request's
-canonical labeling reproduces the scheduler's output bit for bit (pinned by
-``tests/serve/test_canonical.py::TestEquivariance``).  Structurally
-indistinguishable nodes are interchangeable by definition, so the digest
-remains invariant under program-order permutation of independent
-instructions as well.
+Every scheduler here is a function of program order: the hardware runs
+the priority list L = P₁∘…∘Pₘ greedily (Definition 2.3), and the pipeline
+breaks priority ties by program index, never by name.  So the canonical
+id of a node is its program index.  Two requests share a digest exactly
+when one is an *order-preserving relabeling* of the other, and for those
+translating the cached canonical schedule through the new request's
+names reproduces the scheduler's output bit for bit (pinned by
+``tests/serve/test_canonical.py::TestEquivariance``).  A request whose
+independent instructions arrive in a different program order is a
+different key: its scheduler ties break differently, so its schedule may
+differ, and it misses the cache.
 """
 
 from __future__ import annotations
@@ -54,67 +43,7 @@ from ..machine.model import MachineModel
 
 #: Version of the canonical payload schema (bump on any change that can
 #: alter a digest — old cache entries must not alias new ones).
-CANONICAL_VERSION = 1
-
-
-def _refine(trace: Trace, deadlines: Mapping[str, int] | None) -> dict[str, int]:
-    """Final colour rank per node after WL-style partition refinement."""
-    graph = trace.graph
-    nodes = graph.nodes  # program order
-    deadlines = deadlines or {}
-
-    def ranks_from(keys: Mapping[str, object]) -> dict[str, int]:
-        order = sorted({keys[n] for n in nodes})  # type: ignore[type-var]
-        rank = {key: i for i, key in enumerate(order)}
-        return {n: rank[keys[n]] for n in nodes}
-
-    init = {
-        n: (
-            trace.block_of[n],
-            graph.exec_time(n),
-            graph.fu_class(n),
-            n in deadlines,
-            deadlines.get(n, 0),
-        )
-        for n in nodes
-    }
-    colours = ranks_from(init)
-    distinct = len(set(colours.values()))
-    while distinct < len(nodes):
-        signatures = {
-            n: (
-                colours[n],
-                tuple(
-                    sorted(
-                        (lat, colours[v])
-                        for v, lat in graph.successors(n).items()
-                    )
-                ),
-                tuple(
-                    sorted(
-                        (lat, colours[u])
-                        for u, lat in graph.predecessors(n).items()
-                    )
-                ),
-            )
-            for n in nodes
-        }
-        colours = ranks_from(signatures)
-        now_distinct = len(set(colours.values()))
-        if now_distinct == distinct:  # partition stable: refinement done
-            break
-        distinct = now_distinct
-    return colours
-
-
-def canonical_order(
-    trace: Trace, deadlines: Mapping[str, int] | None = None
-) -> list[str]:
-    """Node names by canonical id: final colour, then program order for
-    structurally indistinguishable ties."""
-    colours = _refine(trace, deadlines)
-    index = {n: i for i, n in enumerate(trace.graph.nodes)}
-    return sorted(trace.graph.nodes, key=lambda n: (colours[n], index[n]))
+CANONICAL_VERSION = 2
 
 
 def machine_signature(machine: MachineModel) -> dict:
@@ -131,18 +60,16 @@ class CanonicalForm:
     """One request's canonical identity.
 
     ``order`` maps canonical ids back to the request's own node names
-    (``order[cid] == name``); ``payload`` is the canonical JSON document the
-    digest hashes.  Everything downstream of the cache speaks canonical
-    ids, so two isomorphic requests share an entry and each translates the
-    stored schedule through its own ``order``.
+    (``order[cid] == name``, i.e. the program order); ``payload`` is the
+    canonical JSON document the digest hashes.  Everything downstream of
+    the cache speaks canonical ids, so two order-preserving relabelings
+    share an entry and each translates the stored schedule through its own
+    ``order``.
     """
 
     digest: str
     order: tuple[str, ...]
     payload: dict
-
-    def canonical_id(self, name: str) -> int:
-        return self.order.index(name)
 
     def id_map(self) -> dict[str, int]:
         """Request name -> canonical id."""
@@ -159,16 +86,16 @@ def canonical_form(
     scheduler: str,
     deadlines: Mapping[str, int] | None = None,
 ) -> CanonicalForm:
-    """Canonicalize one scheduling request.
+    """Canonicalize one scheduling request: canonical id = program index.
 
     The payload covers everything the schedule depends on — block DAG
     (per-node block membership, exec times, FU classes, optional
     deadlines), latency-labelled edges, machine config and scheduler choice
     — and nothing it does not (node names, block names).
     """
-    order = canonical_order(trace, deadlines)
-    cid = {n: i for i, n in enumerate(order)}
     graph = trace.graph
+    order = graph.nodes
+    cid = {n: i for i, n in enumerate(order)}
     deadlines = deadlines or {}
     nodes_field = [
         [

@@ -22,8 +22,10 @@ Two transports over one :class:`~repro.serve.service.ScheduleService`:
   load generators and scrapers without pulling in a web framework.
 
 Batching: every schedule request lands in one queue; a collector task
-drains it into batches of up to ``batch_max`` requests, waiting at most
-``batch_window_s`` after the first arrival so concurrent clients coalesce.
+takes the first queued request plus whatever else is already queued, up
+to ``batch_max``, and never waits for more — requests arrive one by one,
+so a coalescing timer could only delay them.  Under load the queue fills
+while the executor works, so batches still form on their own.
 Each batch runs in a **single-thread** executor — the obs recorder is
 process-global, so request handling must not interleave in threads; CPU
 parallelism comes from the service's worker pool (``--jobs``), not from
@@ -35,11 +37,10 @@ be admitted before it is enqueued, and a request beyond the queue
 capacity (or its transport's inflight limit) is shed immediately with a
 structured ``overloaded`` error carrying ``retry_after_s`` (HTTP answers
 503 with a ``Retry-After`` header).  Above the brownout threshold the
-collector stops paying the coalescing wait and the ``/debug/*``
-endpoints answer 503 — optional work is shed before requests are.  A
-request document may carry ``deadline_ms``; the daemon stamps its expiry
-at admission, and the service drops it with ``deadline_exceeded`` (HTTP
-504) if the budget dies in the queue.
+``/debug/*`` endpoints answer 503 — optional work is shed before
+requests are.  A request document may carry ``deadline_ms``; the daemon
+stamps its expiry at admission, and the service drops it with
+``deadline_exceeded`` (HTTP 504) if the budget dies in the queue.
 """
 
 from __future__ import annotations
@@ -64,11 +65,8 @@ from .admission import AdmissionConfig, AdmissionController
 from .protocol import deadline_s_from_doc, error_response
 from .service import ScheduleService
 
-#: Default limit on requests coalesced into one batch.
+#: Default limit on requests taken into one batch.
 DEFAULT_BATCH_MAX = 16
-
-#: Default coalescing window after the first request of a batch (seconds).
-DEFAULT_BATCH_WINDOW_S = 0.002
 
 _MAX_LINE = 32 * 1024 * 1024  # 32 MiB: generous bound for one JSON request
 
@@ -83,7 +81,6 @@ class ScheduleServer:
         host: str = "127.0.0.1",
         port: int | None = None,
         batch_max: int = DEFAULT_BATCH_MAX,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
         access_log: str | os.PathLike | None = None,
         admission: AdmissionConfig | None = None,
         max_line: int = _MAX_LINE,
@@ -106,7 +103,6 @@ class ScheduleServer:
         self.host = host
         self.port = port
         self.batch_max = batch_max
-        self.batch_window_s = batch_window_s
         self.access_log_path = (
             Path(access_log) if access_log is not None else None
         )
@@ -225,27 +221,9 @@ class ScheduleServer:
     async def _batch_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            deadline = loop.time() + self.batch_window_s
-            while len(batch) < self.batch_max:
-                if self.admission.brownout:
-                    # Brownout: stop paying the coalescing wait — take only
-                    # what is already queued and get it to the executor.
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                    continue
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            batch = [await self._queue.get()]
+            while len(batch) < self.batch_max and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             self.admission.note_dequeued(len(batch))
             docs = [doc for doc, _, _, _, _ in batch]
             transports = [transport for _, transport, _, _, _ in batch]

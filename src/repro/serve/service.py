@@ -8,18 +8,19 @@ feeds request batches here.
 Batch lifecycle
 ---------------
 
-1. **decode** every wire document (:class:`~repro.serve.protocol
+1. **decode** every wire document, once (:class:`~repro.serve.protocol
    .ScheduleRequest`); malformed ones become structured error responses
    without touching the rest of the batch;
-2. **canonicalize** each request to its isomorphism-safe digest
+2. **canonicalize** each request to its program-order digest
    (:func:`~repro.serve.canonical.canonical_form`);
 3. **cache lookup** — a hit translates the stored canonical schedule
    through the request's own labeling (no scheduler run, no simulation);
    duplicate digests *within* one batch collapse onto a single compute
    and the duplicates count as hits;
 4. **compute misses** through the :class:`~repro.robust.ExecutionPool`
-   (fresh crash-isolated workers per batch when ``jobs > 1``) and insert
-   the canonical form of each fresh result;
+   (fresh crash-isolated workers per batch when ``jobs > 1``), handing it
+   the decoded request, and insert the canonical form of each fresh
+   result;
 5. **respond** in input order.
 
 Overload safety (the robustness layer threaded through the lifecycle):
@@ -30,7 +31,7 @@ Overload safety (the robustness layer threaded through the lifecycle):
   again at dispatch time for budgets that died during decode; cache hits
   are still served (they are nearly free).  The tightest remaining budget
   in a batch also caps the pool's stall timeout, and each dispatched
-  document's ``deadline_ms`` is rewritten to its remaining budget so the
+  request's ``deadline_ms`` is rewritten to its remaining budget so the
   worker guard inherits it;
 - each scheduler class has a :class:`~repro.serve.admission.CircuitBreaker`
   (K consecutive compute failures open it; while open, cache misses for
@@ -43,10 +44,11 @@ Overload safety (the robustness layer threaded through the lifecycle):
 
 Bit-identity contract: a miss is answered with the worker's raw result —
 exactly what a direct :func:`repro.serve.worker.compute_request` call
-returns — and a hit for an order-preserving relabeling of a cached request
-reproduces that result through the canonical translation (the scheduler
-tie-breaks by program index, never by name; pinned in
-``tests/serve/test_canonical.py``).
+returns — and a hit, which only an order-preserving relabeling of a cached
+request can produce (the digest keys on program order), reproduces that
+result through the canonical translation (the scheduler tie-breaks by
+program index, never by name; pinned in ``tests/serve/test_canonical.py``
+and ``tests/serve/test_service.py``).
 
 Telemetry: every batch runs under a ``serve.batch`` span (spooled to
 ``spool_dir`` when set, so ``repro metrics`` / ``repro top`` work on a live
@@ -61,6 +63,7 @@ from __future__ import annotations
 import os
 import time
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 from ..core.schedule import schedule_digest
@@ -391,16 +394,18 @@ class ScheduleService:
                 items = []
                 budgets_s = []
                 for group in order:
-                    item = group[0]["request"].to_dict()
+                    # The pool computes from the decoded request itself:
+                    # one decode per request, in-process or forked.
+                    item = group[0]["request"]
                     deadline_ns = group[0]["deadline_ns"]
                     if deadline_ns is not None:
-                        # Rewrite the wire deadline to the budget actually
-                        # left at dispatch, so the worker guard inherits a
+                        # Rewrite the deadline to the budget actually left
+                        # at dispatch, so the worker guard inherits a
                         # deadline that accounts for queueing and decode.
                         left_s = max(
                             (deadline_ns - t_dispatch) / 1e9, 1e-6
                         )
-                        item["deadline_ms"] = left_s * 1e3
+                        item = replace(item, deadline_ms=left_s * 1e3)
                         budgets_s.append(left_s)
                     items.append(item)
                 # The tightest remaining deadline caps the pool's stall

@@ -82,8 +82,8 @@ def build_corpus(n: int, seed: int) -> list[dict]:
 
 
 def relabeled_doc(doc: dict, tag: str) -> dict:
-    """An isomorphic variant of ``doc``: every node renamed (order
-    preserved), block names changed, correlation id re-tagged."""
+    """An order-preserving relabeling of ``doc``: every node renamed,
+    block names changed, correlation id re-tagged."""
     from .protocol import trace_from_dict
 
     trace = trace_from_dict(doc["program"])

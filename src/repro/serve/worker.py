@@ -1,13 +1,19 @@
 """The service's compute kernel: schedule one request under the robust
-guard, ground-truth it in the window simulator, return plain data.
+guard, answer from the guard's verified simulation, return plain data.
 
 :func:`compute_request` is deliberately a **module-level function of one
-JSON-able argument returning a JSON-able dict** so it satisfies the
+picklable argument returning a JSON-able dict** so it satisfies the
 picklability contract of :class:`repro.robust.ExecutionPool` — the daemon
 can dispatch batches to fork-based worker processes and inherit the sweep
-driver's timeout/retry/crash-blame machinery unchanged.  Everything a
-response or cache entry needs is in the returned dict; no live objects
-cross the process boundary.
+driver's timeout/retry/crash-blame machinery unchanged.  The argument is
+the service's already-decoded :class:`~repro.serve.protocol.ScheduleRequest`
+(or a wire dict, decoded here).  Everything a response or cache entry
+needs is in the returned dict; no live objects cross back.
+
+The guard verifies the emitted orders by simulating them; that windowed
+execution is the answer's makespan, stalls and schedule, so a request is
+simulated by verification only (one execution plus the Definition 2.3
+reproducibility check).
 
 Scheduling runs through :class:`~repro.robust.guard.GuardedScheduler`
 with the request's own scheduler as the guarded primary: the emitted
@@ -34,8 +40,7 @@ import time
 from contextlib import contextmanager
 from typing import Mapping
 
-from ..core import local_block_orders  # noqa: F401  (re-export compat)
-from ..core import algorithm_lookahead
+from ..core import algorithm_lookahead, local_block_orders
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel
 from ..obs import recorder as obs
@@ -46,7 +51,6 @@ from ..schedulers import (
     critical_path_priority,
     source_order_priority,
 )
-from ..sim import simulate_trace
 from . import chaos
 from .protocol import ScheduleRequest
 
@@ -123,7 +127,7 @@ def _guard_budget_s(request: ScheduleRequest) -> float | None:
 def compute_schedule(
     request: ScheduleRequest, primary_delay_s: float | None = None
 ) -> dict:
-    """Schedule + simulate one decoded request under the guard.
+    """Schedule one decoded request under the guard.
 
     The returned dict is the full uncached answer: emitted block orders,
     the simulated makespan / stall count, the runtime schedule's start
@@ -159,12 +163,13 @@ def compute_schedule(
             trace_id=request.trace_id,
         ):
             guarded = guard.schedule(request.trace)
-        orders = guarded.block_orders
-        t1 = time.perf_counter_ns()
-        with obs.span("serve.worker.simulate", trace_id=request.trace_id):
-            sim = simulate_trace(request.trace, orders, request.machine)
-        t2 = time.perf_counter_ns()
+        elapsed_ns = time.perf_counter_ns() - t0
+    orders = guarded.block_orders
+    sim = guarded.sim
     schedule = sim.schedule
+    # The guard's verification is the simulation: report it as the
+    # ``simulate`` phase, the rest of the guarded run as ``schedule``.
+    simulate_ns = int(guarded.verify_s * 1e9)
     out = {
         "block_orders": [list(o) for o in orders],
         "makespan": sim.makespan,
@@ -177,8 +182,8 @@ def compute_schedule(
             "trace_id": request.trace_id,
             "start_ns": t0,
             "phases": {
-                "schedule_ns": t1 - t0,
-                "simulate_ns": t2 - t1,
+                "schedule_ns": elapsed_ns - simulate_ns,
+                "simulate_ns": simulate_ns,
             },
         },
     }
@@ -187,15 +192,17 @@ def compute_schedule(
     return out
 
 
-def compute_request(doc: Mapping) -> dict:
-    """Picklable pool entry point: wire dict in, result dict out.
+def compute_request(request: ScheduleRequest | Mapping) -> dict:
+    """Picklable pool entry point: a decoded request (or its wire dict)
+    in, result dict out.
 
     When a chaos plan is installed (inherited across the fork), the plan
     may order this compute to die or hang before any work happens — the
     crash-blame and stall-timeout paths the pool exists for — or to run
     its primary slowly enough that the guard degrades it.
     """
-    request = ScheduleRequest.from_dict(doc)
+    if not isinstance(request, ScheduleRequest):
+        request = ScheduleRequest.from_dict(request)
     delay_s = None
     plan = chaos.active_plan()
     if plan is not None:

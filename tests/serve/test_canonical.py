@@ -1,13 +1,14 @@
-"""Property tests for the isomorphism-safe canonical digest.
+"""Property tests for the program-order canonical digest.
 
 The digest must be *invariant* under everything that cannot change the
-schedule (node renaming, program-order permutation of structurally
-indistinguishable instructions) and *sensitive* to everything that can
-(latencies, exec times, deadlines, machine config, scheduler choice).
+schedule (node renaming that keeps program order) and *sensitive* to
+everything that can (program order, latencies, exec times, deadlines,
+machine config, scheduler choice).
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +18,12 @@ from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_CORE, WIDE_VLIW
 from repro.serve.canonical import (
     canonical_form,
-    canonical_order,
     payload_digest,
     relabel_trace,
 )
-from repro.serve.worker import compute_block_orders
+from repro.serve.protocol import ScheduleRequest
+from repro.serve.service import ScheduleService
+from repro.serve.worker import compute_block_orders, compute_request
 from repro.workloads.traces import random_trace
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -68,14 +70,25 @@ class TestInvariance:
         assert a.digest == b.digest
         assert a.payload == b.payload
 
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
-    def test_program_order_permutation_preserves_digest(self, seed):
-        trace = _trace(seed)
-        shuffled = _permuted(trace, seed + 1)
-        a = canonical_form(trace, PAPER_CORE, "anticipatory")
-        b = canonical_form(shuffled, PAPER_CORE, "anticipatory")
-        assert a.digest == b.digest
+    @pytest.mark.parametrize("scheduler", ["anticipatory", "local"])
+    def test_program_order_permutation_served_as_computed(self, scheduler):
+        # Reordering independent instructions changes the scheduler's
+        # program-index tie-breaks, so the reordered request must not be
+        # answered with a translation of the original's cached schedule.
+        seed = 0
+        original, shuffled = (
+            ScheduleRequest(
+                trace=t, machine=PAPER_CORE, scheduler=scheduler
+            ).to_dict()
+            for t in (_trace(seed), _permuted(_trace(seed), seed + 1))
+        )
+        service = ScheduleService()
+        assert service.handle(original)["ok"]
+        served = service.handle(shuffled)
+        direct = compute_request(shuffled)
+        for key in ("block_orders", "makespan", "stall_cycles",
+                    "schedule_digest"):
+            assert served[key] == direct[key], key
 
     def test_block_boundaries_matter(self):
         # Same five instructions, chained; split 2+3 vs 3+2 across blocks.
@@ -195,12 +208,3 @@ class TestCanonicalForm:
         assert form.names([ids[n] for n in trace.graph.nodes]) == list(
             trace.graph.nodes
         )
-
-    def test_canonical_order_groups_by_structure(self):
-        # Two independent identical nodes tie on colour; program order
-        # breaks the tie deterministically.
-        g = DependenceGraph()
-        g.add_node("z")
-        g.add_node("a")
-        t = Trace([BasicBlock("B", g)])
-        assert canonical_order(t) == ["z", "a"]

@@ -3,10 +3,13 @@ malformed input, debug endpoints, access logging and HTTP error paths."""
 
 import json
 import socket
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.machine.presets import PAPER_CORE
+from repro.serve import chaos
 from repro.serve.client import ScheduleClient, http_get, http_schedule
 from repro.serve.daemon import ScheduleServer, ServerHandle, _MAX_LINE
 from repro.serve.protocol import ScheduleRequest
@@ -28,7 +31,6 @@ def server(tmp_path):
         service,
         socket_path=tmp_path / "serve.sock",
         port=0,
-        batch_window_s=0.001,
     )
     with ServerHandle(srv):
         yield srv
@@ -74,6 +76,42 @@ class TestUnixTransport:
             responses = [json.loads(client._file.readline()) for _ in docs]
         assert [r["id"] for r in responses] == [f"r{s}" for s in range(6)]
         assert all(r["ok"] for r in responses)
+
+
+def _wait_until(condition, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+class TestBatching:
+    def test_requests_queued_behind_a_busy_executor_form_one_batch(
+        self, server
+    ):
+        # The chaos plan's slow action applies to string ids only: the
+        # "pin" request holds the executor while the others queue up.
+        plan = chaos.ChaosPlan(name="pin", slow_rate=1.0, slow_s=1.0)
+        service = server.service
+        before = service.batches
+        n = 5
+
+        def call(doc):
+            with ScheduleClient(server.socket_path) as client:
+                return client.call(doc)
+
+        with chaos.injection(plan), ThreadPoolExecutor(n + 1) as pool:
+            pinned = pool.submit(call, _doc(seed=40, rid="pin"))
+            _wait_until(lambda: service.batches == before + 1)
+            queued = [
+                pool.submit(call, _doc(seed=41 + i, rid=i)) for i in range(n)
+            ]
+            _wait_until(lambda: server.admission.queue_depth == n)
+            responses = [f.result(timeout=30) for f in queued]
+            assert pinned.result(timeout=30)["ok"]
+        assert [r["id"] for r in responses] == list(range(n))
+        assert all(r["ok"] for r in responses)
+        assert service.batches == before + 2
 
 
 class TestHttpTransport:
@@ -266,7 +304,6 @@ class TestAccessLog:
             service,
             socket_path=tmp_path / "serve.sock",
             port=0,
-            batch_window_s=0.001,
             access_log=log,
         )
         with ServerHandle(srv):

@@ -1,6 +1,11 @@
 """Tests for the transport-independent service: cache semantics end to
-end, batching, dedupe, error isolation, telemetry."""
+end, batching, dedupe, error isolation, telemetry, work per request."""
 
+import sys
+
+import pytest
+
+import repro.sim.window
 from repro.machine.presets import PAPER_CORE, paper_machine
 from repro.obs.pipeline import merge_spools
 from repro.serve.canonical import relabel_trace
@@ -76,6 +81,70 @@ class TestCachePath:
             assert _identity(svc.handle(doc)) == {
                 k: compute_request(doc)[k] for k in IDENTITY_KEYS
             }
+
+
+class WorkCounter:
+    """Exact counts of request decodes and outermost simulator calls."""
+
+    def __init__(self, monkeypatch):
+        self.decodes = 0
+        self.simulations = 0
+        self._depth = 0
+        decode = ScheduleRequest.from_dict
+
+        def counted_decode(doc):
+            self.decodes += 1
+            return decode(doc)
+
+        monkeypatch.setattr(
+            ScheduleRequest, "from_dict", staticmethod(counted_decode)
+        )
+        for name in ("simulate_trace", "simulate_window"):
+            original = getattr(repro.sim.window, name)
+            wrapper = self._outermost(original)
+            # Rebind the name wherever a loaded module imported it.
+            for module in list(sys.modules.values()):
+                if (
+                    getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, wrapper)
+
+    def _outermost(self, fn):
+        def wrapper(*args, **kwargs):
+            if self._depth == 0:
+                self.simulations += 1
+            self._depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._depth -= 1
+
+        return wrapper
+
+    def reset(self):
+        self.decodes = self.simulations = 0
+
+
+class TestWorkPerRequest:
+    """Deterministic work counters, gated exactly: a cold request is
+    decoded once and simulated twice (the guard's verifying execution and
+    its Definition 2.3 reproducibility check); a warm hit simulates
+    nothing."""
+
+    @pytest.mark.parametrize("scheduler", ["anticipatory", "local"])
+    def test_cold_then_warm(self, monkeypatch, scheduler):
+        svc = ScheduleService()
+        doc = _doc(seed=3, scheduler=scheduler)
+        work = WorkCounter(monkeypatch)
+        cold = svc.handle(doc)
+        assert cold["ok"] and cold["cached"] is False
+        assert (work.decodes, work.simulations) == (1, 2)
+        work.reset()
+        warm = svc.handle(doc)
+        assert warm["cached"] is True
+        assert work.simulations == 0
+        assert _identity(warm) == _identity(cold)
 
 
 class TestBatch:

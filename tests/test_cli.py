@@ -466,9 +466,7 @@ class TestTop:
         from repro.workloads.traces import random_trace
 
         service = ScheduleService()
-        srv = ScheduleServer(
-            service, socket_path=tmp_path / "s.sock", batch_window_s=0.001
-        )
+        srv = ScheduleServer(service, socket_path=tmp_path / "s.sock")
         with ServerHandle(srv):
             doc = ScheduleRequest(
                 trace=random_trace(2, (3, 4), cross_probability=0.2, seed=2),
