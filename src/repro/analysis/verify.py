@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..core.legality import is_legal_schedule
 from ..ir.basicblock import Trace
 from ..machine.model import MachineModel, single_unit_machine
+from ..robust import faults
 
 if TYPE_CHECKING:
     from ..sim.window import SimResult
@@ -56,15 +57,25 @@ def check_runtime_legality(
     exact even where the schedule's derived sub-permutations would not
     reproduce it (cross-block overtakes, multi-unit issue ties).
 
+    Without an active fault plan the execution has no barriers and *is*
+    the greedy run of the witness list, so the Ordering Constraint holds
+    by construction and only the dependences are left to check: the orders
+    are simulated once.  Under a fault plan (which may add barriers or
+    perturb each run) the reproducibility check re-simulates the list.
+
     Returns the checked execution, so a caller that needs the simulated
     schedule of verified orders does not simulate them again."""
     from ..sim.window import simulate_trace
 
     machine = machine or single_unit_machine()
     sim = simulate_trace(trace, block_orders, machine)
-    if not is_legal_schedule(
-        trace, sim.schedule, machine, witness_orders=block_orders
-    ):
+    if faults.active_plan() is None:
+        legal = sim.schedule.is_valid()
+    else:
+        legal = is_legal_schedule(
+            trace, sim.schedule, machine, witness_orders=block_orders
+        )
+    if not legal:
         raise OutputError("windowed execution is not a legal schedule")
     return sim
 

@@ -693,9 +693,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_chaos(args: argparse.Namespace) -> int:
-    """Run the serve-tier chaos harness against a live daemon
-    (see docs/RELIABILITY.md)."""
-    from .serve.chaos import ChaosFailure, run_chaos
+    """Run the daemon scenario driver with the storm chaos plan against a
+    live daemon (see docs/RELIABILITY.md)."""
+    from .serve.scenario import ScenarioFailure, run_chaos
 
     try:
         report = run_chaos(
@@ -706,7 +706,7 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
             seed=args.seed,
             report_path=args.report,
         )
-    except ChaosFailure as exc:
+    except ScenarioFailure as exc:
         print(f"serve chaos FAILED: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -19,8 +19,12 @@ The pipeline turns one-shot library calls into a service:
 - :mod:`repro.serve.daemon` — :class:`ScheduleServer`, the asyncio
   front-end (unix-socket JSONL and minimal HTTP) with request batching;
 - :mod:`repro.serve.client` — blocking clients for both transports;
-- :mod:`repro.serve.smoke` — the end-to-end smoke harness CI runs
-  (``python -m repro.serve.smoke``).
+- :mod:`repro.serve.chaos` — seeded :class:`ChaosPlan` worker faults and
+  their active-plan registry;
+- :mod:`repro.serve.scenario` — the one daemon scenario driver: boot,
+  drive, check; its fault-free run is the smoke
+  (``python -m repro.serve.smoke``, :mod:`repro.serve.smoke`) and its
+  storm-plan run is ``repro serve-chaos``.
 """
 
 from __future__ import annotations

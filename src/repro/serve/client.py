@@ -3,9 +3,9 @@
 :class:`ScheduleClient` speaks the newline-delimited JSON protocol over
 the unix socket; :func:`http_schedule` / :func:`http_get` cover the TCP
 transport with nothing but :mod:`http.client`.  Both exist so tests, the
-smoke harness and ad-hoc scripts need no third-party HTTP stack.
+scenario driver and ad-hoc scripts need no third-party HTTP stack.
 
-Connecting races daemon startup in practice (the smoke harness forks the
+Connecting races daemon startup in practice (a script that forks the
 daemon and dials immediately), so :class:`ScheduleClient` retries
 ``ECONNREFUSED``/``ENOENT`` connects under a capped, jittered
 :class:`~repro.robust.backoff.RetryPolicy` instead of making every caller

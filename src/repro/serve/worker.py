@@ -10,10 +10,10 @@ the service's already-decoded :class:`~repro.serve.protocol.ScheduleRequest`
 (or a wire dict, decoded here).  Everything a response or cache entry
 needs is in the returned dict; no live objects cross back.
 
-The guard verifies the emitted orders by simulating them; that windowed
-execution is the answer's makespan, stalls and schedule, so a request is
-simulated by verification only (one execution plus the Definition 2.3
-reproducibility check).
+The guard verifies the emitted orders by simulating them once; that
+windowed execution is the greedy run of the orders' own priority list,
+so it both decides Definition 2.3 legality and is the answer's makespan,
+stalls and schedule: a request is simulated once.
 
 Scheduling runs through :class:`~repro.robust.guard.GuardedScheduler`
 with the request's own scheduler as the guarded primary: the emitted
@@ -30,7 +30,7 @@ inherited by forked pool workers) and the request's remaining
 Chaos hooks: when a :mod:`repro.serve.chaos` plan is installed, the plan
 decides per request id whether this compute exits hard, hangs past the
 pool's stall timeout, or schedules slowly enough to degrade — the
-serve-tier fault injection the chaos harness drives.
+serve-tier fault injection ``repro serve-chaos`` drives.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def compute_schedule(
     the guard fell back) a ``"degraded"`` diagnostic dict.
 
     ``primary_delay_s`` injects a sleep *inside* the guarded primary —
-    the chaos harness's slow-scheduler fault; the guard's budget is the
+    the chaos plan's slow-scheduler fault; the guard's budget is the
     mechanism that turns it into a degradation instead of a hang.
     """
 

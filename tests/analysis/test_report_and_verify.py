@@ -1,15 +1,22 @@
 """Unit tests for table rendering and output verification."""
 
+import random
+
 import pytest
 
 from repro.analysis import (
     OutputError,
     check_block_orders,
+    check_runtime_legality,
     format_table,
     verify_scheduler_output,
 )
+from repro.core.legality import is_legal_schedule
 from repro.ir import Trace, block_from_graph, graph_from_edges
 from repro.machine import paper_machine
+from repro.serve.worker import compute_block_orders
+from repro.sim import simulate_trace
+from repro.workloads.traces import random_trace
 
 
 class TestFormatTable:
@@ -60,3 +67,54 @@ class TestVerify:
         t = make_trace()
         with pytest.raises(OutputError, match="dependence"):
             check_block_orders(t, [["b", "a"], ["c"]])
+
+
+def _random_topological_orders(trace, rng):
+    """A seeded random dependence-respecting order of every block."""
+    orders = []
+    for i in range(trace.num_blocks):
+        graph = trace.blocks[i].graph
+        left = list(trace.block_nodes(i))
+        order = []
+        while left:
+            ready = [
+                n for n in left
+                if all(p in order for p in graph.predecessors(n))
+            ]
+            order.append(rng.choice(ready))
+            left.remove(order[-1])
+        orders.append(order)
+    return orders
+
+
+class TestSingleSimulationVerdict:
+    """Without a fault plan ``check_runtime_legality`` decides Definition
+    2.3 legality from its one execution; that verdict must equal the
+    re-simulating witnessed check for every emitted order."""
+
+    @pytest.mark.parametrize("window", [2, 4])
+    @pytest.mark.parametrize(
+        "scheduler", ["anticipatory", "local", "critical-path", "source"]
+    )
+    def test_matches_witnessed_check(self, scheduler, window):
+        machine = paper_machine(window)
+        for seed in range(12):
+            trace = random_trace(
+                2 + seed % 3, (2, 6), cross_probability=0.2,
+                latencies=(0, 1, 2, 3), seed=seed,
+            )
+            orders = compute_block_orders(trace, machine, scheduler)
+            shuffled = _random_topological_orders(trace, random.Random(seed))
+            for candidate in (orders, shuffled):
+                witnessed = is_legal_schedule(
+                    trace,
+                    simulate_trace(trace, candidate, machine).schedule,
+                    machine,
+                    witness_orders=candidate,
+                )
+                try:
+                    check_runtime_legality(trace, candidate, machine)
+                    single = True
+                except OutputError:
+                    single = False
+                assert single == witnessed, (scheduler, window, seed)

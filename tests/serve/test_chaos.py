@@ -1,5 +1,6 @@
-"""Tests for the serve-tier chaos harness: plan determinism and purity,
-the active-plan registry, and a small end-to-end :func:`run_chaos`."""
+"""Tests for serve-tier chaos plans (determinism and purity, the
+active-plan registry) and small end-to-end runs of the scenario driver:
+:func:`run_chaos` and its fault-free run, :func:`run_smoke`."""
 
 import pytest
 
@@ -9,9 +10,10 @@ from repro.serve.chaos import (
     active_plan,
     default_chaos_plan,
     injection,
-    run_chaos,
     set_plan,
 )
+from repro.serve import scenario
+from repro.serve.scenario import run_chaos, run_smoke
 
 
 class TestChaosPlan:
@@ -124,3 +126,25 @@ class TestRunChaos:
         assert [plan_a.worker_action(i) for i in ids] == [
             plan_b.worker_action(i) for i in ids
         ]
+
+
+class TestRunSmoke:
+    def test_exact_counts_without_a_plan(self, monkeypatch):
+        services = []
+
+        class Recorded(scenario.ScheduleService):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(scenario, "ScheduleService", Recorded)
+        n = 3
+        metrics = run_smoke(requests=n, clients=2, jobs=1, seed=0).metrics
+        assert metrics["cache"]["misses"] == n + 1
+        assert metrics["cache"]["hits"] == 2 * n + 1
+        assert metrics["bit_identical"] == 3 * n
+        assert metrics["unique_digests"] == n
+        assert metrics["errors"] == 0
+        (stats,) = [svc.stats() for svc in services]
+        assert stats["admission"]["shed_total"] == 0
+        assert {b["state"] for b in stats["breakers"].values()} <= {"closed"}

@@ -128,8 +128,8 @@ class WorkCounter:
 
 class TestWorkPerRequest:
     """Deterministic work counters, gated exactly: a cold request is
-    decoded once and simulated twice (the guard's verifying execution and
-    its Definition 2.3 reproducibility check); a warm hit simulates
+    decoded once and simulated once (the guard's verifying execution,
+    which also decides its Definition 2.3 legality); a warm hit simulates
     nothing."""
 
     @pytest.mark.parametrize("scheduler", ["anticipatory", "local"])
@@ -139,7 +139,7 @@ class TestWorkPerRequest:
         work = WorkCounter(monkeypatch)
         cold = svc.handle(doc)
         assert cold["ok"] and cold["cached"] is False
-        assert (work.decodes, work.simulations) == (1, 2)
+        assert (work.decodes, work.simulations) == (1, 1)
         work.reset()
         warm = svc.handle(doc)
         assert warm["cached"] is True
